@@ -88,6 +88,7 @@ pub const ENTRY_POINTS: &[(Option<&str>, &str)] = &[
     (Some("Pool"), "map"),
     (Some("Pool"), "map_range"),
     (Some("Pool"), "map_reduce"),
+    (Some("Pool"), "for_each_mut"),
     (Some("ScaleConfig"), "validate"),
     (Some("ScaleConfig"), "synthetic_codes"),
     (Some("ScaleConfig"), "stream_users"),

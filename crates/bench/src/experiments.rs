@@ -871,11 +871,7 @@ pub fn decode(scale: Scale) -> ExpOutput {
     let fused_prefill = best_of(&mut || {
         for p in &prompts {
             let mut cache = lm.new_cache();
-            std::hint::black_box(lm.prefill_batch_fused(
-                &mut scratch,
-                std::slice::from_mut(&mut cache),
-                &[p],
-            ));
+            std::hint::black_box(lm.forward_block(&pool, &mut scratch, &mut [&mut cache], &[p]));
         }
     }) / n_requests as f64;
     // One decode step at batch b: the fused path advances b cached slots
@@ -885,13 +881,14 @@ pub fn decode(scale: Scale) -> ExpOutput {
     let step_tok = *first.last().unwrap_or(&0);
     let mut step_time = |batch: usize| -> (f64, f64) {
         let mut proto = lm.new_cache();
-        lm.prefill_batch_fused(&mut scratch, std::slice::from_mut(&mut proto), &[&first]);
+        lm.forward_block(&pool, &mut scratch, &mut [&mut proto], &[&first]);
         let fused = best_of(&mut || {
             let mut caches: Vec<_> = (0..batch).map(|_| proto.clone()).collect();
-            let toks = vec![step_tok; batch];
+            let toks = vec![[step_tok]; batch];
+            let runs: Vec<&[u32]> = toks.iter().map(|t| t.as_slice()).collect();
             for _ in 0..steps {
                 let mut slots: Vec<_> = caches.iter_mut().collect();
-                std::hint::black_box(lm.advance_batch_fused(&mut scratch, &mut slots, &toks));
+                std::hint::black_box(lm.forward_block(&pool, &mut scratch, &mut slots, &runs));
             }
         }) / steps as f64;
         let graph = best_of(&mut || {

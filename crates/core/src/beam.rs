@@ -10,8 +10,9 @@
 //! Per level, candidate scoring fans out over the surviving beams on an
 //! [`lcrec_par::Pool`] and reassembles in beam order; the transformer step
 //! then runs **every** pruned candidate through one fused, allocation-free
-//! weight pass ([`CausalLm::advance_batch_fused`]) against a reusable
-//! [`DecodeScratch`]. Scoring applies **top-k pre-pruning**: each beam
+//! forward ([`CausalLm::forward_block`], one token per candidate) against
+//! a reusable [`DecodeScratch`], its row lanes on the same pool.
+//! Scoring applies **top-k pre-pruning**: each beam
 //! keeps only its `beam_size` best legal continuations before the global
 //! prune — provably without changing the result (see `score_beam`'s doc
 //! comment) — so
@@ -168,18 +169,16 @@ pub fn constrained_beam_search_with(
 ) -> Vec<Hypothesis> {
     // A zero-width beam asks for nothing: return nothing rather than panic.
     // (The serving layer rejects `k = 0` with a typed error before it gets
-    // here; this keeps the library call total for direct users too.)
-    if beam_size == 0 {
+    // here; this keeps the library call total for direct users too.) An
+    // empty prompt has nothing to decode from.
+    if beam_size == 0 || prompt.is_empty() {
         return Vec::new();
     }
     let obs_on = lcrec_obs::enabled();
     let _span = lcrec_obs::span("beam.decode");
     let mut scratch = lm.new_scratch();
     let mut cache = lm.new_cache();
-    let logits = lm
-        .prefill_batch_fused(&mut scratch, std::slice::from_mut(&mut cache), &[prompt])
-        .pop()
-        .unwrap_or_default();
+    let logits = lm.forward_block(pool, &mut scratch, &mut [&mut cache], &[prompt]).to_vec();
     let mut beams =
         vec![Beam { cache, logits, prefix: Vec::new(), logprob: 0.0 }];
     let vocab_n = lm.config().vocab;
@@ -226,7 +225,8 @@ pub fn constrained_beam_search_with(
             .map(|&(bi, code, _)| vocab.index_token(beams[bi].prefix.len(), code)) // lint: allow(panic, reason = "bi was produced by enumerating this very `beams` vector in phase 1")
             .collect();
         let mut slots: Vec<&mut KvCache> = new_caches.iter_mut().collect();
-        let all_logits = lm.advance_batch_fused(&mut scratch, &mut slots, &toks);
+        let runs: Vec<&[u32]> = toks.iter().map(std::slice::from_ref).collect();
+        let all_logits = lm.forward_block(pool, &mut scratch, &mut slots, &runs);
         beams = candidates
             .iter()
             .zip(new_caches)
@@ -329,15 +329,16 @@ pub fn multi_constrained_beam_search(
 /// for that prompt without disturbing the others.
 ///
 /// The requests share the model's weight passes — prefill runs all prompts
-/// in position lockstep through [`CausalLm::prefill_batch_fused`], and
-/// each decode level runs *every* request's surviving candidates through a
-/// single [`CausalLm::advance_batch_fused`] call — but never share any
-/// state:
+/// as one block through [`CausalLm::forward_block`], and each decode level
+/// runs *every* request's surviving candidates through a single
+/// one-token-per-slot [`CausalLm::forward_block`] call — but never share
+/// any state:
 /// each request has its own KV caches, its own candidate list and its own
 /// pruning cut. Scoring/pruning reuse the single-request helpers and the
 /// batched transformer step is bit-identical per row, so the output equals
 /// calling [`constrained_beam_search_with`] once per prompt, bit for bit,
-/// at any batch composition and any thread count.
+/// at any batch composition and any thread count. An empty prompt yields
+/// an empty list, as it does there.
 pub fn multi_constrained_beam_search_with(
     pool: &Pool,
     lm: &CausalLm,
@@ -375,15 +376,23 @@ pub fn multi_constrained_beam_search_scratch(
     let obs_on = lcrec_obs::enabled();
     let _span = lcrec_obs::span("beam.decode_batch");
     let vocab_n = lm.config().vocab;
-    // Batched prefill: every prompt advances through its own cache while
-    // sharing each step's fused weight pass.
+    // Block prefill: every prompt goes into its own cache, all prompts'
+    // tokens through one fused forward.
     let mut caches: Vec<KvCache> = (0..n).map(|_| lm.new_cache()).collect();
     let seqs: Vec<&[u32]> = prompts.iter().map(|p| p.as_slice()).collect();
-    let first_logits = lm.prefill_batch_fused(scratch, &mut caches, &seqs);
+    let mut slots: Vec<&mut KvCache> = caches.iter_mut().collect();
+    let first_logits = lm.forward_block(pool, scratch, &mut slots, &seqs);
     let mut requests: Vec<Vec<Beam>> = caches
         .into_iter()
-        .zip(first_logits)
-        .map(|(cache, logits)| vec![Beam { cache, logits, prefix: Vec::new(), logprob: 0.0 }])
+        .zip(first_logits.chunks_exact(vocab_n.max(1)))
+        .zip(&seqs)
+        .map(|((cache, row), prompt)| {
+            // An empty prompt has nothing to decode from.
+            if prompt.is_empty() {
+                return Vec::new();
+            }
+            vec![Beam { cache, logits: row.to_vec(), prefix: Vec::new(), logprob: 0.0 }]
+        })
         .collect();
     for _level in 0..trie.levels() {
         // Phase 1 — score every (request, beam) pair, parallel over the
@@ -442,7 +451,8 @@ pub fn multi_constrained_beam_search_scratch(
             .map(|&(ri, bi, code, _)| vocab.index_token(requests[ri][bi].prefix.len(), code)) // lint: allow(panic, reason = "jobs carry (ri, bi) coordinates taken from this level's `requests` candidates")
             .collect();
         let mut slots: Vec<&mut KvCache> = new_caches.iter_mut().collect();
-        let all_logits = lm.advance_batch_fused(scratch, &mut slots, &toks);
+        let runs: Vec<&[u32]> = toks.iter().map(std::slice::from_ref).collect();
+        let all_logits = lm.forward_block(pool, scratch, &mut slots, &runs);
         let mut next: Vec<Vec<Beam>> = Vec::with_capacity(n);
         next.resize_with(n, Vec::new);
         for ((&(ri, bi, code, logprob), cache), row) in

@@ -141,9 +141,12 @@ impl LcRec {
         let capped = self.cap_segs(segs);
         let mut tokens = vec![BOS];
         tokens.extend(self.vocab.render(&capped));
-        if tokens.len() > self.cfg.max_seq - self.vocab.indices().levels - 1 {
-            let keep = self.cfg.max_seq - self.vocab.indices().levels - 1;
-            let excess = tokens.len() - keep;
+        // Saturate (and keep BOS) so a context window no wider than one
+        // item index degrades to a maximally-truncated prompt instead of
+        // underflowing — the budget `Engine::render_prompt` applies too.
+        let budget = self.cfg.max_seq.saturating_sub(self.vocab.indices().levels + 1).max(1);
+        if tokens.len() > budget {
+            let excess = tokens.len() - budget;
             tokens.drain(1..1 + excess);
         }
         tokens
@@ -380,6 +383,24 @@ mod tests {
         let long: Vec<u32> = (0..40).map(|i| i % 5).collect();
         let tokens = model.render_prompt(&[Seg::Items(long)]);
         assert!(tokens.len() <= model.config().max_seq);
+    }
+
+    #[test]
+    fn prompt_budget_saturates_when_the_window_barely_fits_an_index() {
+        let ds = Dataset::generate(&DatasetConfig::tiny());
+        let levels = 3usize;
+        let codes: Vec<Vec<u16>> = (0..ds.num_items())
+            .map(|i| (0..levels).map(|l| ((i >> (4 * l)) & 15) as u16).collect())
+            .collect();
+        let history: Vec<u32> = (0..6).collect();
+        for max_seq in [levels, levels + 1] {
+            let indices = ItemIndices::new(vec![16; levels], codes.clone());
+            let model = LcRec::build(&ds, indices, LcRecConfig { max_seq, ..LcRecConfig::test() });
+            let segs = [Seg::Text("recommend the next item".into()), Seg::Items(history.clone())];
+            assert_eq!(model.render_prompt(&segs), vec![BOS], "max_seq {max_seq}: only BOS fits");
+            let hyps = model.recommend_prompt(&segs, 3);
+            assert_eq!(hyps.len(), 3, "max_seq {max_seq}: decoding still ranks real items");
+        }
     }
 
     #[test]

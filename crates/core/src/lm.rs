@@ -9,25 +9,30 @@
 //! Two execution paths:
 //! * **training** — define-by-run autograd graphs with teacher forcing and
 //!   response-only loss (Eqn. 7);
-//! * **inference** — a raw, allocation-light path with a per-sequence
-//!   [`KvCache`], the optimization the paper highlights in §III-D2. The
-//!   single-token step comes in two shapes sharing one implementation:
-//!   [`CausalLm::advance`] (one sequence) and [`CausalLm::advance_batch`]
-//!   (many sequences through one weight pass, each with its own cache
-//!   slot). Per-row arithmetic is identical, so batched serving
-//!   (`lcrec-serve`) is bit-identical to sequential decoding.
+//! * **inference** — a per-sequence [`KvCache`], the optimization the paper
+//!   highlights in §III-D2. [`CausalLm::forward_block`] is the fast path:
+//!   one fused, allocation-free forward over a packed block of token rows,
+//!   where every cache slot contributes its next `n ≥ 1` tokens (a decode
+//!   step is `n = 1`, a prompt prefill is the whole prompt), split into
+//!   row lanes that run on the pool's workers. [`CausalLm::advance`],
+//!   [`CausalLm::advance_batch`], [`CausalLm::prefill`] and
+//!   [`CausalLm::prefill_batch`] are the one-token-at-a-time reference
+//!   path it is checked against. Every row's arithmetic is the same in
+//!   all of them, so batched serving (`lcrec-serve`) is bit-identical to
+//!   sequential decoding.
 
+use lcrec_par::Pool;
 use lcrec_tensor::{
     init, matmul_acc, softmax_rows, AdamW, Graph, ParamId, ParamStore, Schedule, Tensor, Var,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-thread_local! {
-    /// True while `prefill` drives `advance`, so the shared single-token
-    /// path can split its tokens/sec accounting into prefill vs decode.
-    static IN_PREFILL: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
-}
+/// The least GEMM work, in FLOPs, worth a row lane of its own in
+/// [`CausalLm::forward_block`]: spawning and joining a scoped worker costs
+/// about 40 µs, which the register-tiled kernel spends on roughly 1 MFLOP,
+/// so a lane must carry about twice that to come out ahead.
+const LANE_MIN_FLOPS: usize = 2 << 20;
 
 /// LM hyperparameters.
 #[derive(Clone, Debug)]
@@ -61,12 +66,14 @@ impl LmConfig {
         LmConfig { vocab, dim: 16, layers: 1, heads: 2, ff_hidden: 32, max_seq: 48, dropout: 0.0, seed: 5 }
     }
 
-    /// The scale-tier configuration: wide and deep enough that the weight
-    /// set (reported by [`CausalLm::param_bytes`]) exceeds a typical
-    /// last-level cache, so serving benchmarks at this tier exercise the
-    /// memory system rather than replaying cache-resident GEMMs — the
-    /// regime `results/scale.md` measures (see docs/PERFORMANCE.md,
-    /// "Scale tiers").
+    /// The scale-tier configuration: 5.24M parameters, about 21 MB of f32
+    /// weights (reported by [`CausalLm::param_bytes`]). That is an order of
+    /// magnitude more work per token than the smaller tiers, but it still
+    /// fits a server-class last-level cache (300 MiB on the machine the
+    /// serving benchmark was measured on), and a decode step streams its
+    /// weights at about 0.2 GB/s against a measured 23 GB/s. Serving at
+    /// this tier is therefore bound by the LM's arithmetic, not by memory
+    /// traffic (see docs/PERFORMANCE.md, "Scale tiers").
     pub fn large(vocab: usize) -> Self {
         LmConfig { vocab, dim: 320, layers: 5, heads: 8, ff_hidden: 640, max_seq: 160, dropout: 0.1, seed: 1234 }
     }
@@ -118,26 +125,28 @@ impl KvCache {
     }
 }
 
-/// Preallocated working memory for the fused decode fast path
-/// ([`CausalLm::advance_batch_fused`]).
+/// Preallocated working memory for the fused forward
+/// ([`CausalLm::forward_block`]).
 ///
 /// The reference step ([`CausalLm::advance_batch`]) allocates every
 /// intermediate (`x`, q/k/v, attention context, FFN activations, logits)
-/// fresh on each call; profiling (`results/profile.md`) shows that decode
-/// dominates end-to-end cost, so those allocations sit on the hottest loop
-/// of the system. A `DecodeScratch` hoists all of them into buffers that
-/// are reused across decode steps — after the first step at a given batch
-/// size the fused path performs **zero heap allocation** per token.
+/// fresh on each call; decode dominates end-to-end cost, so those
+/// allocations would sit on the hottest loop of the system. A
+/// `DecodeScratch` hoists all of them into buffers that are reused across
+/// calls — one set per row lane, grown to its high-water mark — so once
+/// warmed up the activations need **no heap allocation**; only the KV
+/// caches grow.
 ///
 /// The scratch also caches the transpose of the tied LM head
-/// (`tok_emb^T`), turning the per-token logit computation from
-/// `vocab` scalar dot products into one dense matmul whose inner loop
-/// runs contiguously over the vocabulary (see `docs/PERFORMANCE.md`).
+/// (`tok_emb^T`), turning the per-token logit computation from `vocab`
+/// scalar dot products into one dense matmul whose inner loop runs
+/// contiguously over the vocabulary (see `docs/PERFORMANCE.md`). Every
+/// lane reads the same transpose.
 ///
 /// # Lifecycle
 ///
 /// Create one with [`CausalLm::new_scratch`] *after* the model is trained
-/// and reuse it for any number of decode calls against that model: the
+/// and reuse it for any number of forward calls against that model: the
 /// cached head transpose is a snapshot of `tok_emb` taken at construction,
 /// so a scratch must not outlive a parameter update (create a fresh one
 /// after further training). The serving engine holds one scratch for its
@@ -148,6 +157,16 @@ impl KvCache {
 pub struct DecodeScratch {
     /// `tok_emb` transposed to `[dim, vocab]` for the tied-head matmul.
     head_t: Vec<f32>,
+    /// One set of activation buffers per row lane.
+    lanes: Vec<LaneBuffers>,
+    /// `slots × vocab` logits, one row per slot, written lane by lane.
+    logits: Vec<f32>,
+}
+
+/// The activation buffers of one row lane, packed row-major over the
+/// lane's token rows (`xs` … `down`) or its slots (`xf`).
+#[derive(Clone, Debug, Default)]
+struct LaneBuffers {
     xs: Vec<f32>,
     xn: Vec<f32>,
     q: Vec<f32>,
@@ -162,7 +181,16 @@ pub struct DecodeScratch {
     scores: Vec<f32>,
     probs: Vec<f32>,
     xf: Vec<f32>,
-    logits: Vec<f32>,
+}
+
+/// One row lane of a [`CausalLm::forward_block`] call: a contiguous group
+/// of slots, their caches and token runs, and the slots' rows of the
+/// output logits.
+struct Lane<'a, 'c> {
+    buf: &'a mut LaneBuffers,
+    caches: &'a mut [&'c mut KvCache],
+    seqs: &'a [&'a [u32]],
+    logits: &'a mut [f32],
 }
 
 /// Grows `buf` to `len` elements, all zero, without shrinking its
@@ -330,7 +358,6 @@ impl CausalLm {
         if b == 0 {
             return Vec::new();
         }
-        let obs_watch = lcrec_obs::stopwatch();
         let d = self.cfg.dim;
         let h = self.cfg.heads;
         let dh = d / h;
@@ -410,17 +437,6 @@ impl CausalLm {
             }
             out.push(logits);
         }
-        if obs_watch.running() {
-            // Prefill steps and decode steps share this path; split the
-            // tokens/sec accounting by the phase flag prefill() sets.
-            if IN_PREFILL.with(|c| c.get()) {
-                lcrec_obs::counter_add("lm.prefill_tokens", b as u64);
-                obs_watch.stop("lm.prefill_s");
-            } else {
-                lcrec_obs::counter_add("lm.decode_tokens", b as u64);
-                obs_watch.stop("lm.decode_s");
-            }
-        }
         out
     }
 
@@ -428,12 +444,10 @@ impl CausalLm {
     /// last token.
     pub fn prefill(&self, cache: &mut KvCache, tokens: &[u32]) -> Vec<f32> {
         assert!(!tokens.is_empty(), "prefill needs at least one token");
-        let was = IN_PREFILL.with(|c| c.replace(true));
         let mut logits = Vec::new();
         for &t in tokens {
             logits = self.advance(cache, t);
         }
-        IN_PREFILL.with(|c| c.set(was));
         logits
     }
 
@@ -448,7 +462,6 @@ impl CausalLm {
     /// An empty sequence yields an empty logit row (its cache untouched).
     pub fn prefill_batch(&self, caches: &mut [KvCache], seqs: &[&[u32]]) -> Vec<Vec<f32>> {
         assert_eq!(caches.len(), seqs.len(), "one cache per sequence");
-        let was = IN_PREFILL.with(|c| c.replace(true));
         let longest = seqs.iter().map(|s| s.len()).max().unwrap_or(0);
         let mut outs = vec![Vec::new(); seqs.len()];
         for t in 0..longest {
@@ -473,7 +486,6 @@ impl CausalLm {
                 }
             }
         }
-        IN_PREFILL.with(|c| c.set(was));
         outs
     }
 
@@ -484,195 +496,209 @@ impl CausalLm {
         let tok_table = self.ps.value(self.tok_emb);
         DecodeScratch {
             head_t: tok_table.transposed().data().to_vec(),
-            xs: Vec::new(),
-            xn: Vec::new(),
-            q: Vec::new(),
-            k: Vec::new(),
-            v: Vec::new(),
-            ctx: Vec::new(),
-            att: Vec::new(),
-            gate: Vec::new(),
-            up: Vec::new(),
-            hid: Vec::new(),
-            down: Vec::new(),
-            scores: Vec::new(),
-            probs: Vec::new(),
-            xf: Vec::new(),
+            lanes: Vec::new(),
             logits: Vec::new(),
         }
     }
 
-    /// The fused fast-path variant of [`CausalLm::advance_batch`]: one
-    /// token into each of `b` cache slots through a single weight pass,
-    /// with every intermediate living in `scratch` (no heap allocation
-    /// after warm-up) and the matmuls routed through the process-wide
+    /// The fused forward: feeds `seqs[i]` into `caches[i]` for every slot
+    /// at once and returns, packed `slots × vocab` in slot order, the
+    /// logits after each slot's last token. The rows are borrowed from the
+    /// scratch and overwritten by the next call. A decode step passes one
+    /// token per slot; a prefill passes whole prompts. A slot with no
+    /// tokens keeps its cache as it was and gets a row of zeros.
+    ///
+    /// All token rows of the block go through each layer together, so
+    /// every projection is one GEMM over `Σ len` rows. Row `j` of a slot
+    /// whose cache held `p` positions embeds position `p + j` (clamped to
+    /// `max_seq - 1`, like the reference path) and attends causally over
+    /// `cache[..=p + j]`; the tied head runs only on each slot's last row.
+    ///
+    /// The block is split into up to `pool.threads()` row lanes: contiguous
+    /// slot groups with about equal row counts, each running the whole
+    /// layer stack — GEMMs, attention, SiLU, RMSNorm and its share of the
+    /// head — on its own pool worker with its own buffers in `scratch`
+    /// (every lane must carry at least 2 MFLOP, so tiny blocks stay on the
+    /// calling thread). The matmuls go through the process-wide
     /// [`lcrec_tensor::InferenceBackend`].
     ///
-    /// Returns the `b * vocab` logit rows packed in slot order, borrowed
-    /// from the scratch (they are overwritten by the next call).
+    /// **Bit-identity contract:** rows never mix — each row's arithmetic is
+    /// the reference path's, in the same order — so for any cache states,
+    /// block composition, lane count and backend the logits and the
+    /// updated caches are bit-identical to feeding the same tokens one at
+    /// a time through [`CausalLm::advance_batch`] (`tests/decode.rs` pins
+    /// this against [`CausalLm::prefill_batch`] and the graph forward).
     ///
-    /// **Bit-identity contract:** for any cache states, batch size and
-    /// backend, the returned logits and the updated caches are
-    /// bit-identical to [`CausalLm::advance_batch`] — the fused path keeps
-    /// the reference path's per-element accumulation order everywhere
-    /// (`tests/decode.rs` pins this, and transitively the graph-path
-    /// equivalence). The reference implementation stays as the semantics
-    /// anchor and the training path is untouched.
-    pub fn advance_batch_fused<'s>(
+    /// With observability on, the call records one `lm.decode_s` sample
+    /// and its rows in `lm.decode_tokens` when every slot feeds at most
+    /// one token, and one `lm.prefill_s` sample and `lm.prefill_tokens`
+    /// otherwise — on the calling thread, whatever the lane count.
+    pub fn forward_block<'s>(
         &self,
+        pool: &Pool,
         scratch: &'s mut DecodeScratch,
         caches: &mut [&mut KvCache],
-        tokens: &[u32],
+        seqs: &[&[u32]],
     ) -> &'s [f32] {
-        assert_eq!(caches.len(), tokens.len(), "one token per cache slot");
-        let b = caches.len();
-        ensure_zeroed(&mut scratch.logits, b * self.cfg.vocab);
-        if b == 0 {
+        assert_eq!(caches.len(), seqs.len(), "one token run per cache slot");
+        let vocab = self.cfg.vocab;
+        ensure_zeroed(&mut scratch.logits, caches.len() * vocab);
+        let rows: usize = seqs.iter().map(|s| s.len()).sum();
+        if rows == 0 {
             return &scratch.logits;
         }
         let obs_watch = lcrec_obs::stopwatch();
-        let backend = lcrec_tensor::active_backend();
-        let d = self.cfg.dim;
-        let h = self.cfg.heads;
-        let dh = d / h;
-        let ff = self.cfg.ff_hidden;
-        let tok_table = self.ps.value(self.tok_emb);
-        let pos_table = self.ps.value(self.pos_emb);
-        ensure_zeroed(&mut scratch.xs, b * d);
-        ensure_zeroed(&mut scratch.xn, b * d);
-        ensure_zeroed(&mut scratch.att, b * d);
-        ensure_zeroed(&mut scratch.hid, b * ff);
-        ensure_zeroed(&mut scratch.down, b * d);
-        // Attention buffers sized to the deepest slot after this step (the
-        // clamp to max_seq is positional only; callers may run longer).
-        let tmax = caches.iter().map(|c| c.len + 1).max().unwrap_or(1);
-        ensure_zeroed(&mut scratch.scores, tmax);
-        ensure_zeroed(&mut scratch.probs, tmax);
-        ensure_zeroed(&mut scratch.xf, b * d);
-        for ((&token, cache), row) in
-            tokens.iter().zip(caches.iter()).zip(scratch.xs.chunks_exact_mut(d))
-        {
-            let pos = cache.len.min(self.cfg.max_seq - 1);
-            row.copy_from_slice(tok_table.row(token as usize));
-            for (xi, pi) in row.iter_mut().zip(pos_table.row(pos)) {
-                *xi += pi;
-            }
+        debug_assert_eq!(scratch.head_t.len(), self.cfg.dim * vocab, "stale scratch: head transpose does not match the model (create the scratch after training)");
+        let bounds = lane_bounds(seqs, self.lane_count(pool, seqs.len(), rows));
+        let lane_n = bounds.len().saturating_sub(1);
+        if scratch.lanes.len() < lane_n {
+            scratch.lanes.resize_with(lane_n, LaneBuffers::default);
         }
-        for (l, blk) in self.blocks.iter().enumerate() {
-            rms_rows_into(&scratch.xs, self.ps.value(blk.norm1).data(), &mut scratch.xn);
-            ensure_zeroed(&mut scratch.q, b * d);
-            ensure_zeroed(&mut scratch.k, b * d);
-            ensure_zeroed(&mut scratch.v, b * d);
-            backend.gemm_acc(&scratch.xn, self.ps.value(blk.wq).data(), &mut scratch.q, b, d, d);
-            backend.gemm_acc(&scratch.xn, self.ps.value(blk.wk).data(), &mut scratch.k, b, d, d);
-            backend.gemm_acc(&scratch.xn, self.ps.value(blk.wv).data(), &mut scratch.v, b, d, d);
-            let scale = 1.0 / (dh as f32).sqrt();
-            ensure_zeroed(&mut scratch.ctx, b * d);
-            for (r, cache) in caches.iter_mut().enumerate() {
-                cache.k[l].extend_from_slice(&scratch.k[r * d..(r + 1) * d]); // lint: allow(panic, reason = "l enumerates self.blocks, which sized every cache; scratch.k holds b*d values and r < b")
-                cache.v[l].extend_from_slice(&scratch.v[r * d..(r + 1) * d]); // lint: allow(panic, reason = "l enumerates self.blocks, which sized every cache; scratch.v holds b*d values and r < b")
-                let t = cache.len + 1;
-                for head in 0..h {
-                    let qh = &scratch.q[r * d + head * dh..r * d + (head + 1) * dh]; // lint: allow(panic, reason = "head < h and h * dh == d, so the slice stays inside row r of the b*d buffer")
-                    // Scores over all of this slot's cached positions, into
-                    // the preallocated score buffer (t <= max_seq by the
-                    // cache-length clamp every caller maintains).
-                    let scores = &mut scratch.scores[..t]; // lint: allow(panic, reason = "the buffer was sized to the max of every slot's len + 1 before the layer loop; t = cache.len + 1 for this slot")
-                    for (ti, s) in scores.iter_mut().enumerate() {
-                        let kh = &cache.k[l][ti * d + head * dh..ti * d + (head + 1) * dh]; // lint: allow(panic, reason = "cache.k[l] holds t rows of d values after the extend above; ti < t")
-                        let dot: f32 = qh.iter().zip(kh).map(|(qv, kv)| qv * kv).sum();
-                        *s = dot * scale;
-                    }
-                    let probs = &mut scratch.probs[..t]; // lint: allow(panic, reason = "t <= max_seq, the buffer's length")
-                    softmax_rows(scores, probs, t);
-                    let out = &mut scratch.ctx[r * d + head * dh..r * d + (head + 1) * dh]; // lint: allow(panic, reason = "ctx was sized to b*d zeros; r < b and head < h with h * dh == d")
-                    for (ti, &p) in probs.iter().enumerate() {
-                        let vh = &cache.v[l][ti * d + head * dh..ti * d + (head + 1) * dh]; // lint: allow(panic, reason = "cache.v[l] holds t rows of d values after the extend above; ti < t")
-                        for (o, &vv) in out.iter_mut().zip(vh) {
-                            *o += p * vv;
-                        }
-                    }
-                }
-            }
-            scratch.att.fill(0.0);
-            backend.gemm_acc(&scratch.ctx, self.ps.value(blk.wo).data(), &mut scratch.att, b, d, d);
-            for (xi, a) in scratch.xs.iter_mut().zip(&scratch.att) {
-                *xi += a;
-            }
-            rms_rows_into(&scratch.xs, self.ps.value(blk.norm2).data(), &mut scratch.xn);
-            ensure_zeroed(&mut scratch.gate, b * ff);
-            ensure_zeroed(&mut scratch.up, b * ff);
-            backend.gemm_acc(&scratch.xn, self.ps.value(blk.w_gate).data(), &mut scratch.gate, b, d, ff);
-            backend.gemm_acc(&scratch.xn, self.ps.value(blk.w_up).data(), &mut scratch.up, b, d, ff);
-            for ((hv, &gv), &uv) in scratch.hid.iter_mut().zip(&scratch.gate).zip(&scratch.up) {
-                *hv = gv * lcrec_tensor::sigmoid(gv) * uv;
-            }
-            scratch.down.fill(0.0);
-            backend.gemm_acc(&scratch.hid, self.ps.value(blk.w_down).data(), &mut scratch.down, b, ff, d);
-            for (xi, dv) in scratch.xs.iter_mut().zip(&scratch.down) {
-                *xi += dv;
-            }
+        let head_t = &scratch.head_t;
+        let mut lanes: Vec<Lane<'_, '_>> = Vec::with_capacity(lane_n);
+        let (mut caches_rest, mut logits_rest) = (caches, scratch.logits.as_mut_slice());
+        for (buf, w) in scratch.lanes.iter_mut().zip(bounds.windows(2)) {
+            let (lo, hi) = (w[0], w[1]); // lint: allow(panic, reason = "windows(2) yields two-element slices")
+            let (c, c_rest) = std::mem::take(&mut caches_rest).split_at_mut(hi - lo);
+            let (l, l_rest) = std::mem::take(&mut logits_rest).split_at_mut((hi - lo) * vocab);
+            (caches_rest, logits_rest) = (c_rest, l_rest);
+            lanes.push(Lane { buf, caches: c, seqs: &seqs[lo..hi], logits: l }); // lint: allow(panic, reason = "lane_bounds returns ascending bounds from 0 to seqs.len()")
         }
-        for cache in caches.iter_mut() {
-            cache.len += 1;
-        }
-        rms_rows_into(&scratch.xs, self.ps.value(self.final_norm).data(), &mut scratch.xf);
-        // Tied head: logits = xf @ tok_emb^T, through the cached transpose
-        // so the inner loop streams contiguously over the vocabulary. The
-        // dense kernel keeps every `+ 0.0 * w` term, matching the scalar
-        // dot loop of the reference path bit for bit.
-        debug_assert_eq!(scratch.head_t.len(), d * self.cfg.vocab, "stale scratch: head transpose does not match the model (create the scratch after training)");
-        backend.gemm_dense_acc(&scratch.xf, &scratch.head_t, &mut scratch.logits, b, d, self.cfg.vocab);
+        pool.for_each_mut(&mut lanes, |_, lane| self.forward_lane(head_t, lane));
         if obs_watch.running() {
-            if IN_PREFILL.with(|c| c.get()) {
-                lcrec_obs::counter_add("lm.prefill_tokens", b as u64);
-                obs_watch.stop("lm.prefill_s");
-            } else {
-                lcrec_obs::counter_add("lm.decode_tokens", b as u64);
+            if seqs.iter().all(|s| s.len() <= 1) {
+                lcrec_obs::counter_add("lm.decode_tokens", rows as u64);
                 obs_watch.stop("lm.decode_s");
+            } else {
+                lcrec_obs::counter_add("lm.prefill_tokens", rows as u64);
+                obs_watch.stop("lm.prefill_s");
             }
         }
         &scratch.logits
     }
 
-    /// The fused fast-path variant of [`CausalLm::prefill_batch`]: the
-    /// same position-lockstep schedule, with every transformer step going
-    /// through [`CausalLm::advance_batch_fused`]. Returns the logits after
-    /// each sequence's last token, in slot order (empty rows for empty
-    /// sequences), bit-identical to the reference prefill.
-    pub fn prefill_batch_fused(
-        &self,
-        scratch: &mut DecodeScratch,
-        caches: &mut [KvCache],
-        seqs: &[&[u32]],
-    ) -> Vec<Vec<f32>> {
-        assert_eq!(caches.len(), seqs.len(), "one cache per sequence");
-        let was = IN_PREFILL.with(|c| c.replace(true));
-        let longest = seqs.iter().map(|s| s.len()).max().unwrap_or(0);
-        let vocab = self.cfg.vocab;
-        let mut outs = vec![Vec::new(); seqs.len()];
-        for t in 0..longest {
-            let mut slots: Vec<&mut KvCache> = Vec::new();
-            let mut toks: Vec<u32> = Vec::new();
-            let mut live: Vec<(usize, bool)> = Vec::new();
-            for (i, (cache, seq)) in caches.iter_mut().zip(seqs).enumerate() {
-                if let Some(&tok) = seq.get(t) {
-                    slots.push(cache);
-                    toks.push(tok);
-                    live.push((i, t + 1 == seq.len()));
-                }
-            }
-            let logits = self.advance_batch_fused(scratch, &mut slots, &toks);
-            for (row, &(i, last)) in logits.chunks_exact(vocab.max(1)).zip(&live) {
-                if last {
-                    if let Some(out) = outs.get_mut(i) {
-                        *out = row.to_vec();
-                    }
-                }
+    /// How many row lanes a block of `rows` token rows over `slots` slots
+    /// gets: one per pool thread, but no more than there are slots, and
+    /// no lane with less than [`LANE_MIN_FLOPS`] of GEMM work.
+    fn lane_count(&self, pool: &Pool, slots: usize, rows: usize) -> usize {
+        let (d, ff) = (self.cfg.dim, self.cfg.ff_hidden);
+        let row_flops = 2 * self.cfg.layers * (4 * d * d + 3 * d * ff);
+        let flops = rows * row_flops + slots * 2 * d * self.cfg.vocab;
+        pool.threads().min(slots).min(flops / LANE_MIN_FLOPS).max(1)
+    }
+
+    /// Runs one row lane through the whole layer stack and the tied head;
+    /// see [`CausalLm::forward_block`].
+    fn forward_lane(&self, head_t: &[f32], lane: &mut Lane<'_, '_>) {
+        let backend = lcrec_tensor::active_backend();
+        let d = self.cfg.dim;
+        let h = self.cfg.heads;
+        let dh = d / h;
+        let ff = self.cfg.ff_hidden;
+        let max_pos = self.cfg.max_seq - 1;
+        let tok_table = self.ps.value(self.tok_emb);
+        let pos_table = self.ps.value(self.pos_emb);
+        let rows: usize = lane.seqs.iter().map(|s| s.len()).sum();
+        let slots = lane.seqs.len();
+        let buf = &mut *lane.buf;
+        ensure_zeroed(&mut buf.xs, rows * d);
+        ensure_zeroed(&mut buf.xn, rows * d);
+        ensure_zeroed(&mut buf.att, rows * d);
+        ensure_zeroed(&mut buf.hid, rows * ff);
+        ensure_zeroed(&mut buf.down, rows * d);
+        // Attention buffers sized to the deepest slot after this call (the
+        // clamp to max_seq is positional only; callers may run longer).
+        let tmax =
+            lane.caches.iter().zip(lane.seqs).map(|(c, s)| c.len + s.len()).max().unwrap_or(1);
+        ensure_zeroed(&mut buf.scores, tmax);
+        ensure_zeroed(&mut buf.probs, tmax);
+        let tokens = lane.caches.iter().zip(lane.seqs).flat_map(|(cache, seq)| {
+            seq.iter().enumerate().map(move |(j, &tok)| (tok, (cache.len + j).min(max_pos)))
+        });
+        for ((tok, pos), row) in tokens.zip(buf.xs.chunks_exact_mut(d)) {
+            row.copy_from_slice(tok_table.row(tok as usize));
+            for (xi, pi) in row.iter_mut().zip(pos_table.row(pos)) {
+                *xi += pi;
             }
         }
-        IN_PREFILL.with(|c| c.set(was));
-        outs
+        let scale = 1.0 / (dh as f32).sqrt();
+        for (l, blk) in self.blocks.iter().enumerate() {
+            rms_rows_into(&buf.xs, self.ps.value(blk.norm1).data(), &mut buf.xn);
+            ensure_zeroed(&mut buf.q, rows * d);
+            ensure_zeroed(&mut buf.k, rows * d);
+            ensure_zeroed(&mut buf.v, rows * d);
+            backend.gemm_acc(&buf.xn, self.ps.value(blk.wq).data(), &mut buf.q, rows, d, d);
+            backend.gemm_acc(&buf.xn, self.ps.value(blk.wk).data(), &mut buf.k, rows, d, d);
+            backend.gemm_acc(&buf.xn, self.ps.value(blk.wv).data(), &mut buf.v, rows, d, d);
+            ensure_zeroed(&mut buf.ctx, rows * d);
+            let mut r0 = 0;
+            for (cache, seq) in lane.caches.iter_mut().zip(lane.seqs) {
+                let (n, past) = (seq.len(), cache.len);
+                cache.k[l].extend_from_slice(&buf.k[r0 * d..(r0 + n) * d]); // lint: allow(panic, reason = "l enumerates self.blocks, which sized every cache; buf.k holds rows*d values and the slot's rows r0..r0+n lie inside it")
+                cache.v[l].extend_from_slice(&buf.v[r0 * d..(r0 + n) * d]); // lint: allow(panic, reason = "l enumerates self.blocks, which sized every cache; buf.v holds rows*d values and the slot's rows r0..r0+n lie inside it")
+                for r in r0..r0 + n {
+                    // Causal: row r sees the slot's past and its own block
+                    // rows up to itself.
+                    let t = past + (r - r0) + 1;
+                    for head in 0..h {
+                        let (lo, hi) = (r * d + head * dh, r * d + (head + 1) * dh);
+                        let qh = &buf.q[lo..hi]; // lint: allow(panic, reason = "r < rows and head < h with h * dh == d, so the slice stays inside row r of the rows*d buffer")
+                        let scores = &mut buf.scores[..t]; // lint: allow(panic, reason = "the buffer was sized to the max of every slot's len + run length, and t is at most this slot's")
+                        for (ti, s) in scores.iter_mut().enumerate() {
+                            let kh = &cache.k[l][ti * d + head * dh..ti * d + (head + 1) * dh]; // lint: allow(panic, reason = "cache.k[l] holds past + n rows after the extend above; ti < t <= past + n")
+                            let dot: f32 = qh.iter().zip(kh).map(|(qv, kv)| qv * kv).sum();
+                            *s = dot * scale;
+                        }
+                        let probs = &mut buf.probs[..t]; // lint: allow(panic, reason = "sized like the score buffer")
+                        softmax_rows(scores, probs, t);
+                        let out = &mut buf.ctx[lo..hi]; // lint: allow(panic, reason = "ctx was sized to rows*d zeros; same range as qh")
+                        for (ti, &p) in probs.iter().enumerate() {
+                            let vh = &cache.v[l][ti * d + head * dh..ti * d + (head + 1) * dh]; // lint: allow(panic, reason = "cache.v[l] holds past + n rows after the extend above; ti < t <= past + n")
+                            for (o, &vv) in out.iter_mut().zip(vh) {
+                                *o += p * vv;
+                            }
+                        }
+                    }
+                }
+                r0 += n;
+            }
+            buf.att.fill(0.0);
+            backend.gemm_acc(&buf.ctx, self.ps.value(blk.wo).data(), &mut buf.att, rows, d, d);
+            for (xi, a) in buf.xs.iter_mut().zip(&buf.att) {
+                *xi += a;
+            }
+            rms_rows_into(&buf.xs, self.ps.value(blk.norm2).data(), &mut buf.xn);
+            ensure_zeroed(&mut buf.gate, rows * ff);
+            ensure_zeroed(&mut buf.up, rows * ff);
+            backend.gemm_acc(&buf.xn, self.ps.value(blk.w_gate).data(), &mut buf.gate, rows, d, ff);
+            backend.gemm_acc(&buf.xn, self.ps.value(blk.w_up).data(), &mut buf.up, rows, d, ff);
+            for ((hv, &gv), &uv) in buf.hid.iter_mut().zip(&buf.gate).zip(&buf.up) {
+                *hv = gv * lcrec_tensor::sigmoid(gv) * uv;
+            }
+            buf.down.fill(0.0);
+            let w_down = self.ps.value(blk.w_down).data();
+            backend.gemm_acc(&buf.hid, w_down, &mut buf.down, rows, ff, d);
+            for (xi, dv) in buf.xs.iter_mut().zip(&buf.down) {
+                *xi += dv;
+            }
+        }
+        // Tied head on each slot's last row: logits = xf @ tok_emb^T,
+        // through the cached transpose so the inner loop streams
+        // contiguously over the vocabulary. The dense kernel keeps every
+        // `+ 0.0 * w` term, matching the scalar dot loop of the reference
+        // path bit for bit. A slot with no rows keeps a zero `xf` row.
+        ensure_zeroed(&mut buf.xf, slots * d);
+        let gamma = self.ps.value(self.final_norm).data();
+        let mut last = 0;
+        let per_slot = lane.caches.iter_mut().zip(lane.seqs);
+        for ((cache, seq), xf) in per_slot.zip(buf.xf.chunks_exact_mut(d)) {
+            cache.len += seq.len();
+            last += seq.len();
+            if !seq.is_empty() {
+                rms_row_into(&buf.xs[(last - 1) * d..last * d], gamma, xf); // lint: allow(panic, reason = "last counts this lane's rows through the slot, so last - 1 < rows")
+            }
+        }
+        backend.gemm_dense_acc(&buf.xf, head_t, lane.logits, slots, d, self.cfg.vocab);
     }
 
     /// Log-probability of `continuation` given `prefix` (sums per-token
@@ -755,12 +781,37 @@ fn rms_rows_into(xs: &[f32], gamma: &[f32], out: &mut [f32]) {
     let d = gamma.len().max(1);
     debug_assert_eq!(xs.len(), out.len());
     for (row, orow) in xs.chunks_exact(d).zip(out.chunks_exact_mut(d)) {
-        let ms = row.iter().map(|v| v * v).sum::<f32>() / row.len() as f32;
-        let r = 1.0 / (ms + 1e-6).sqrt();
-        for ((o, &v), &g) in orow.iter_mut().zip(row).zip(gamma) {
-            *o = v * r * g;
-        }
+        rms_row_into(row, gamma, orow);
     }
+}
+
+/// One row of [`rms_rows_into`].
+fn rms_row_into(row: &[f32], gamma: &[f32], out: &mut [f32]) {
+    let ms = row.iter().map(|v| v * v).sum::<f32>() / row.len() as f32;
+    let r = 1.0 / (ms + 1e-6).sqrt();
+    for ((o, &v), &g) in out.iter_mut().zip(row).zip(gamma) {
+        *o = v * r * g;
+    }
+}
+
+/// Splits `seqs` into at most `lanes` contiguous slot groups with about
+/// equal token-row counts; returns the group bounds `0 = b0 < … < bn =
+/// seqs.len()`. A new group starts at the first slot whose preceding rows
+/// reach the next `1/lanes` share of the total, provided the group before
+/// it got at least one row.
+fn lane_bounds(seqs: &[&[u32]], lanes: usize) -> Vec<usize> {
+    let total: usize = seqs.iter().map(|s| s.len()).sum();
+    let mut bounds = vec![0];
+    let (mut before, mut at_cut) = (0, 0);
+    for (i, seq) in seqs.iter().enumerate() {
+        if bounds.len() < lanes && before > at_cut && before * lanes >= total * bounds.len() {
+            bounds.push(i);
+            at_cut = before;
+        }
+        before += seq.len();
+    }
+    bounds.push(seqs.len());
+    bounds
 }
 
 /// `b` packed row-vectors times one weight matrix in a single `matmul_acc`
@@ -1035,6 +1086,22 @@ mod tests {
         let lm = CausalLm::new(LmConfig::test(10));
         let mut slots: Vec<&mut KvCache> = Vec::new();
         assert!(lm.advance_batch(&mut slots, &[]).is_empty());
+    }
+
+    #[test]
+    fn lane_bounds_cut_contiguous_groups_of_about_equal_rows() {
+        let runs: Vec<Vec<u32>> = vec![vec![0]; 8];
+        let seqs: Vec<&[u32]> = runs.iter().map(Vec::as_slice).collect();
+        assert_eq!(lane_bounds(&seqs, 1), vec![0, 8]);
+        assert_eq!(lane_bounds(&seqs, 2), vec![0, 4, 8]);
+        assert_eq!(lane_bounds(&seqs, 3), vec![0, 3, 6, 8]);
+        // Ragged runs balance rows, not slots, and no group is left
+        // without rows: the empty run joins the group after it.
+        let runs: Vec<Vec<u32>> = [30usize, 0, 2, 3, 25].iter().map(|&n| vec![0; n]).collect();
+        let seqs: Vec<&[u32]> = runs.iter().map(Vec::as_slice).collect();
+        assert_eq!(lane_bounds(&seqs, 2), vec![0, 1, 5]);
+        assert_eq!(lane_bounds(&seqs, 4), vec![0, 1, 3, 5]);
+        assert_eq!(lane_bounds(&seqs[..1], 4), vec![0, 1], "one slot is one lane");
     }
 
     #[test]

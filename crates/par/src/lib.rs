@@ -14,6 +14,11 @@
 //!   parallel and serial runs produce bit-identical floating-point results.
 //! * **Serial fallback.** At `threads = 1` (or for single-chunk inputs) no
 //!   threads are spawned and closures run inline on the caller's stack.
+//! * **In-place groups.** [`Pool::for_each_mut`] hands each of up to
+//!   `threads` contiguous groups of items to its own worker with `&mut`
+//!   access — the LM's row lanes use it. Which worker runs which group is
+//!   fixed by the item count and the thread count, and callers keep their
+//!   results independent of the split.
 //! * **`LCREC_THREADS` override.** [`Pool::from_env`] reads the variable on
 //!   every call; unset or unparsable values fall back to the machine's
 //!   available parallelism.
@@ -258,6 +263,77 @@ impl Pool {
         out
     }
 
+    /// Runs `f(i, &mut items[i])` once for every item, the items split
+    /// into at most `threads` contiguous groups that run at the same time:
+    /// the first group on the calling thread, each other group on a
+    /// scoped worker of its own. Returns when every item is done.
+    ///
+    /// This is the primitive for work that mutates disjoint state in place
+    /// (the LM's row lanes, each advancing its own KV caches): `f` may
+    /// write through `&mut T`, so a group can be neither stolen nor
+    /// recomputed, and no fault is injected here. Nothing is recorded in
+    /// the deterministic section; with observability on, every group
+    /// records its compute time as one `par.worker_busy_s` sample, merged
+    /// in group order, as [`Pool::map_range`]'s workers do. On a serial
+    /// pool, or with one item, everything runs inline and records nothing.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use lcrec_par::Pool;
+    ///
+    /// let mut lanes = vec![vec![1.0f32; 4], vec![2.0; 4], vec![3.0; 4]];
+    /// Pool::new(2).for_each_mut(&mut lanes, |i, lane| {
+    ///     lane.iter_mut().for_each(|v| *v *= i as f32 + 1.0);
+    /// });
+    /// assert_eq!(lanes, vec![vec![1.0; 4], vec![4.0; 4], vec![9.0; 4]]);
+    /// ```
+    pub fn for_each_mut<T, F>(&self, items: &mut [T], f: F)
+    where
+        T: Send,
+        F: Fn(usize, &mut T) + Sync,
+    {
+        let n = items.len();
+        let workers = self.threads.min(n);
+        if workers <= 1 {
+            for (i, item) in items.iter_mut().enumerate() {
+                f(i, item);
+            }
+            return;
+        }
+        let per = n.div_ceil(workers);
+        let obs_on = lcrec_obs::enabled();
+        let run_group = |group: usize, chunk: &mut [T]| -> Option<lcrec_obs::LocalObs> {
+            let t0 = if obs_on { Some(Instant::now()) } else { None }; // lint: allow(det, reason = "obs-gated profiling timestamp; busy time never influences which group runs which items")
+            for (j, item) in chunk.iter_mut().enumerate() {
+                f(group * per + j, item);
+            }
+            t0.map(|t0| {
+                let mut local = lcrec_obs::LocalObs::new();
+                local.profile_record("par.worker_busy_s", t0.elapsed().as_secs_f64());
+                local
+            })
+        };
+        // One obs buffer per group, each written only by its own group and
+        // merged in group order, never completion order.
+        let mut busy: Vec<Option<lcrec_obs::LocalObs>> =
+            (0..n.div_ceil(per)).map(|_| None).collect();
+        std::thread::scope(|s| {
+            let run_group = &run_group;
+            let mut groups = items.chunks_mut(per).zip(busy.iter_mut()).enumerate();
+            let first = groups.next();
+            for (group, (chunk, slot)) in groups {
+                s.spawn(move || *slot = run_group(group, chunk));
+            }
+            if let Some((group, (chunk, slot))) = first {
+                *slot = run_group(group, chunk);
+            }
+        });
+        for local in busy.into_iter().flatten() {
+            local.merge_global();
+        }
+    }
+
     /// Maps every index and folds the results **in index order** — the
     /// deterministic reduction primitive. `fold` sees `f(0)`, `f(1)`, … in
     /// exactly that sequence regardless of which worker produced each value,
@@ -375,6 +451,21 @@ mod tests {
         assert_eq!(micro_ranges(64, 32), vec![(0, 32), (32, 64)]);
         assert_eq!(micro_ranges(70, 32), vec![(0, 32), (32, 64), (64, 70)]);
         assert_eq!(micro_ranges(3, 0), vec![(0, 1), (1, 2), (2, 3)], "rows clamps to 1");
+    }
+
+    #[test]
+    fn for_each_mut_visits_every_item_once_with_its_index() {
+        for threads in [1, 2, 4, 9] {
+            for n in [0usize, 1, 2, 3, 7, 16] {
+                let mut items: Vec<(usize, u32)> = vec![(usize::MAX, 0); n];
+                Pool::new(threads).for_each_mut(&mut items, |i, item| {
+                    item.0 = i;
+                    item.1 += 1;
+                });
+                let expect: Vec<(usize, u32)> = (0..n).map(|i| (i, 1)).collect();
+                assert_eq!(items, expect, "threads={threads} n={n}");
+            }
+        }
     }
 
     #[test]

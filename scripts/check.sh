@@ -16,6 +16,11 @@
 #      retries and torn checkpoint writes must all be recovered
 #      internally with zero observable result changes (the burst cap of
 #      lcrec-fault sits below every retry budget, see docs/ROBUSTNESS.md);
+#   4b. the serving benchmark's own tests (perfbench/, a workspace of
+#      its own): traffic determinism, smoke sizes of every workload and
+#      its correctness gate, which re-decodes sampled requests at
+#      max_batch = 1 and compares every log-prob bit — so each check runs
+#      that gate over the lane-split LM forward;
 #   5. a serve smoke-run: the batched-inference experiment end-to-end at
 #      tiny scale (admission queue, batched prefill + decode, the
 #      bit-identity column) into a scratch directory;
@@ -100,6 +105,9 @@ LCREC_OBS=1 LCREC_SANITIZE=1 LCREC_THREADS=4 cargo test --workspace --quiet
 echo "== fault matrix (LCREC_FAULT=1, seeds 1 and 2) =="
 LCREC_FAULT=1 LCREC_FAULT_SEED=1 cargo test --workspace --quiet
 LCREC_FAULT=1 LCREC_FAULT_SEED=2 cargo test --workspace --quiet
+
+echo "== serving benchmark tests (perfbench) =="
+cargo test --release --offline --quiet --manifest-path perfbench/Cargo.toml
 
 echo "== serve smoke-run (tiny scale) =="
 cargo run --release --quiet -p lcrec-bench --bin repro -- \

@@ -106,46 +106,132 @@ fn fused_decode_matches_graph_baseline_at_every_batch_and_thread_count() {
     }
 }
 
-/// The fused transformer step must produce bit-identical logits to the
-/// reference (`advance_batch`) step for every slot, across batch sizes
-/// and successive steps on the same caches.
+fn to_bits(xs: &[f32]) -> Vec<u32> {
+    xs.iter().map(|v| v.to_bits()).collect()
+}
+
+/// The fused forward must produce bit-identical logits to the reference
+/// path for every slot: a block prefill against `prefill_batch`, then
+/// one-token blocks against `advance_batch`, across batch sizes and
+/// successive steps on the same caches.
 #[test]
 fn fused_advance_matches_reference_advance_bitwise() {
     let (lm, vocab, _trie) = setup();
     let all_prompts = prompts(&vocab, 8);
     let mut scratch = lm.new_scratch();
-    for batch in [1usize, 3, 8] {
-        let seqs: Vec<&[u32]> = all_prompts[..batch].iter().map(Vec::as_slice).collect();
-        let mut ref_caches: Vec<_> = (0..batch).map(|_| lm.new_cache()).collect();
-        let ref_first = lm.prefill_batch(&mut ref_caches, &seqs);
-        let mut fused_caches: Vec<_> = (0..batch).map(|_| lm.new_cache()).collect();
-        let fused_first = lm.prefill_batch_fused(&mut scratch, &mut fused_caches, &seqs);
-        for (a, b) in ref_first.iter().zip(&fused_first) {
-            let (ab, bb): (Vec<u32>, Vec<u32>) =
-                (a.iter().map(|v| v.to_bits()).collect(), b.iter().map(|v| v.to_bits()).collect());
-            assert_eq!(ab, bb, "prefill logits must be bit-identical (batch {batch})");
-        }
-        // Three decode steps, feeding each path the same tokens.
-        for step in 0..3u32 {
-            let toks: Vec<u32> = (0..batch as u32).map(|s| (s + step) % 4).collect();
-            let mut ref_slots: Vec<_> = ref_caches.iter_mut().collect();
-            let ref_rows = lm.advance_batch(&mut ref_slots, &toks);
-            let mut fused_slots: Vec<_> = fused_caches.iter_mut().collect();
-            let fused_flat = lm.advance_batch_fused(&mut scratch, &mut fused_slots, &toks);
-            let vocab_n = lm.config().vocab;
-            for (slot, (r, f)) in
-                ref_rows.iter().zip(fused_flat.chunks_exact(vocab_n)).enumerate()
-            {
-                let (rb, fb): (Vec<u32>, Vec<u32>) = (
-                    r.iter().map(|v| v.to_bits()).collect(),
-                    f.iter().map(|v| v.to_bits()).collect(),
-                );
-                assert_eq!(
-                    rb, fb,
-                    "advance step {step}, batch {batch}, slot {slot}: fused logits must \
-                     be bit-identical to the reference step"
-                );
+    let vocab_n = lm.config().vocab;
+    for threads in [1usize, 2] {
+        let pool = Pool::new(threads);
+        for batch in [1usize, 3, 8] {
+            let seqs: Vec<&[u32]> = all_prompts[..batch].iter().map(Vec::as_slice).collect();
+            let mut ref_caches: Vec<_> = (0..batch).map(|_| lm.new_cache()).collect();
+            let ref_first = lm.prefill_batch(&mut ref_caches, &seqs);
+            let mut fused_caches: Vec<_> = (0..batch).map(|_| lm.new_cache()).collect();
+            let mut slots: Vec<_> = fused_caches.iter_mut().collect();
+            let fused_first = lm.forward_block(&pool, &mut scratch, &mut slots, &seqs);
+            for (a, b) in ref_first.iter().zip(fused_first.chunks_exact(vocab_n)) {
+                assert_eq!(to_bits(a), to_bits(b), "prefill logits (batch {batch})");
             }
+            // Three decode steps, feeding each path the same tokens.
+            for step in 0..3u32 {
+                let toks: Vec<u32> = (0..batch as u32).map(|s| (s + step) % 4).collect();
+                let mut ref_slots: Vec<_> = ref_caches.iter_mut().collect();
+                let ref_rows = lm.advance_batch(&mut ref_slots, &toks);
+                let mut fused_slots: Vec<_> = fused_caches.iter_mut().collect();
+                let runs: Vec<&[u32]> = toks.iter().map(std::slice::from_ref).collect();
+                let fused_flat = lm.forward_block(&pool, &mut scratch, &mut fused_slots, &runs);
+                let rows = ref_rows.iter().zip(fused_flat.chunks_exact(vocab_n));
+                for (slot, (r, f)) in rows.enumerate() {
+                    assert_eq!(
+                        to_bits(r),
+                        to_bits(f),
+                        "advance step {step}, batch {batch}, slot {slot}, threads {threads}: \
+                         fused logits must be bit-identical to the reference step"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// Block prefill — every slot's whole token run through one fused forward,
+/// split into row lanes — must equal the reference lockstep
+/// `prefill_batch` bit for bit, in the logits and in the caches (checked
+/// through a following `advance_batch`), at 1, 2 and 4 lanes' worth of
+/// pool threads. The runs mix lengths 0, 1 and more than `max_seq`
+/// (clamped positions), and the second round starts from caches that
+/// already hold the first round's tokens.
+#[test]
+fn block_prefill_matches_reference_prefill_bitwise() {
+    // Wide enough that the block carries several lanes' worth of work.
+    let vocab_n = 60;
+    let cfg = LmConfig {
+        dim: 64,
+        heads: 4,
+        layers: 2,
+        ff_hidden: 128,
+        max_seq: 24,
+        ..LmConfig::test(vocab_n)
+    };
+    let max_seq = cfg.max_seq;
+    let lm = CausalLm::new(cfg);
+    let mut rng = StdRng::seed_from_u64(0xB10C);
+    let lens = [5usize, 0, 1, max_seq + 7, 12, 3, 1, 20];
+    let rounds: Vec<Vec<Vec<u32>>> = (0..2)
+        .map(|_| {
+            lens.iter()
+                .map(|&n| (0..n).map(|_| rng.random_range(0..vocab_n as u32)).collect())
+                .collect()
+        })
+        .collect();
+    let next: Vec<u32> = (0..lens.len() as u32).map(|i| (i * 7) % vocab_n as u32).collect();
+
+    // The reference: lockstep prefill, round after round, then one step.
+    let mut ref_caches: Vec<_> = lens.iter().map(|_| lm.new_cache()).collect();
+    let mut ref_logits = Vec::new();
+    for round in &rounds {
+        let seqs: Vec<&[u32]> = round.iter().map(Vec::as_slice).collect();
+        ref_logits.push(lm.prefill_batch(&mut ref_caches, &seqs));
+    }
+    let ref_lens: Vec<usize> = ref_caches.iter().map(|c| c.len()).collect();
+    let mut ref_slots: Vec<_> = ref_caches.iter_mut().collect();
+    let ref_next = lm.advance_batch(&mut ref_slots, &next);
+
+    for threads in [1usize, 2, 4] {
+        let pool = Pool::new(threads);
+        let mut scratch = lm.new_scratch();
+        let mut caches: Vec<_> = lens.iter().map(|_| lm.new_cache()).collect();
+        for (ri, round) in rounds.iter().enumerate() {
+            let seqs: Vec<&[u32]> = round.iter().map(Vec::as_slice).collect();
+            let mut slots: Vec<_> = caches.iter_mut().collect();
+            let got = lm.forward_block(&pool, &mut scratch, &mut slots, &seqs);
+            let rows = ref_logits[ri].iter().zip(got.chunks_exact(vocab_n));
+            for (slot, (want, row)) in rows.enumerate() {
+                if lens[slot] == 0 {
+                    assert!(want.is_empty(), "the reference has no logits for an empty run");
+                    assert!(row.iter().all(|&v| v.to_bits() == 0), "an empty run gets a zero row");
+                } else {
+                    assert_eq!(
+                        to_bits(want),
+                        to_bits(row),
+                        "round {ri}, slot {slot}, threads {threads}: block prefill logits"
+                    );
+                }
+            }
+        }
+        for (slot, (c, &want)) in caches.iter().zip(&ref_lens).enumerate() {
+            assert_eq!(c.len(), want, "slot {slot}, threads {threads}: cache length");
+        }
+        let mut slots: Vec<_> = caches.iter_mut().collect();
+        let runs: Vec<&[u32]> = next.iter().map(std::slice::from_ref).collect();
+        let got = lm.forward_block(&pool, &mut scratch, &mut slots, &runs);
+        for (slot, (want, row)) in ref_next.iter().zip(got.chunks_exact(vocab_n)).enumerate() {
+            assert_eq!(
+                to_bits(want),
+                to_bits(row),
+                "slot {slot}, threads {threads}: the caches a block prefill leaves must \
+                 decode like the reference's"
+            );
         }
     }
 }
@@ -178,25 +264,36 @@ fn scratch_reuse_is_bit_deterministic() {
 }
 
 /// Both inference-backend kernels must match the reference bit for bit on
-/// randomized shapes and values (including exact zeros, where the two
-/// kernel contracts differ).
+/// randomized shapes and values — small random shapes plus every pairing
+/// of row counts around the 4-row tile (1, 3, 4, 5) and the serving
+/// shapes (75, 152) with column counts around the 32-column tile and the
+/// model widths — with exact `0.0`, `-0.0` and `±inf` mixed into both
+/// operands, where the skip (`gemm_acc`) and multiply (`gemm_dense_acc`)
+/// contracts differ.
 #[test]
 fn backend_kernels_are_bit_identical_on_random_shapes() {
     let mut rng = StdRng::seed_from_u64(0xBEEF);
-    for _ in 0..40 {
-        let (m, k, n) =
-            (rng.random_range(1..9), rng.random_range(1..70), rng.random_range(1..130));
-        let fill = |rng: &mut StdRng, len: usize| -> Vec<f32> {
-            (0..len)
-                .map(|_| {
-                    if rng.random_range(0..8) == 0 {
-                        0.0
-                    } else {
-                        rng.random_range(-2.0f32..2.0)
-                    }
-                })
-                .collect()
-        };
+    let mut shapes: Vec<(usize, usize, usize)> = (0..40)
+        .map(|_| (rng.random_range(1..9), rng.random_range(1..70), rng.random_range(1..130)))
+        .collect();
+    for m in [1usize, 3, 4, 5, 75, 152] {
+        for n in [31usize, 32, 33, 200, 640] {
+            let k = [1usize, 17, 64, 320, 640][(m + n) % 5];
+            shapes.push((m, k, n));
+        }
+    }
+    let fill = |rng: &mut StdRng, len: usize| -> Vec<f32> {
+        (0..len)
+            .map(|_| match rng.random_range(0..64) {
+                0..=5 => 0.0,
+                6 => -0.0,
+                7 => f32::INFINITY,
+                8 => f32::NEG_INFINITY,
+                _ => rng.random_range(-2.0f32..2.0),
+            })
+            .collect()
+    };
+    for (m, k, n) in shapes {
         let a = fill(&mut rng, m * k);
         let b = fill(&mut rng, k * n);
         for dense in [false, true] {
@@ -209,11 +306,7 @@ fn backend_kernels_are_bit_identical_on_random_shapes() {
                 BlockedBackend.gemm_acc(&a, &b, &mut blocked, m, k, n);
                 ReferenceBackend.gemm_acc(&a, &b, &mut reference, m, k, n);
             }
-            let (bb, rb): (Vec<u32>, Vec<u32>) = (
-                blocked.iter().map(|v| v.to_bits()).collect(),
-                reference.iter().map(|v| v.to_bits()).collect(),
-            );
-            assert_eq!(bb, rb, "m={m} k={k} n={n} dense={dense}");
+            assert_eq!(to_bits(&blocked), to_bits(&reference), "m={m} k={k} n={n} dense={dense}");
         }
     }
 }
